@@ -4,6 +4,7 @@
 //
 //	jrs list                 show available experiments
 //	jrs <experiment>         run one experiment (fig1..fig11, table1..table3, ablate-*)
+//	jrs <exp> <exp> ...      run several experiments as one grid (`jrs all` format)
 //	jrs all                  run every experiment
 //	jrs run <workload>       execute one workload and print its output
 //	jrs lint [file.mj ...]   run the static-analysis passes over every
@@ -42,8 +43,10 @@
 //	-codecachedir D  back the shared translation cache with a persistent
 //	              on-disk store under D (implies -codecache; corrupt or
 //	              stale entries degrade to misses)
-//	-celltimeout D watchdog deadline per cell attempt (0 = none); hung
-//	              cells become retryable timeout failures
+//	-celltimeout D watchdog deadline per attempt of one stream execution
+//	              (the engine run shared by a stream's probe cells, or
+//	              one cell run alone; 0 = none); hung cells become
+//	              retryable timeout failures
 //	-retries N    re-attempts per cell after a retryable failure
 //	              (panic, timeout, transient/injected fault)
 //	-keepgoing    degraded mode: drain every cell, render what
@@ -71,7 +74,9 @@
 //	-json         emit lint/analyze reports as JSON instead of text
 //	-nobatch      deliver trace instructions one at a time (disable the
 //	              batched transport; for debugging and A/B timing)
-//	-cpuprofile F write a CPU profile to F
+//	-cpuprofile F write a CPU profile to F; samples carry pprof labels
+//	              experiments=, workload= and mode= per execution
+//	              (slice with go tool pprof -tagfocus)
 //	-memprofile F write a heap profile to F on exit
 package main
 
@@ -115,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cachedir := fs.String("cachedir", "", "directory for the persistent result cache (empty = no cache)")
 	codecacheOn := fs.Bool("codecache", false, "share one in-process JIT translation cache across all engines")
 	codecachedir := fs.String("codecachedir", "", "persistent on-disk store for the shared translation cache (implies -codecache)")
-	celltimeout := fs.Duration("celltimeout", 0, "watchdog deadline per cell attempt (0 = none)")
+	celltimeout := fs.Duration("celltimeout", 0, "watchdog deadline per stream-execution attempt (0 = none)")
 	retries := fs.Int("retries", 0, "re-attempts per cell after a retryable failure")
 	keepgoing := fs.Bool("keepgoing", false, "drain all cells despite failures; report and exit 3")
 	resume := fs.Bool("resume", false, "resume an interrupted run from the -cachedir journal")
@@ -184,7 +189,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *remote != "" {
-		return runRemote(*remote, fs.Arg(0), opts, stdout, stderr)
+		return runRemote(*remote, fs.Args(), opts, stdout, stderr)
 	}
 
 	var cc *codecache.Cache
@@ -270,17 +275,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 
 	case "all":
-		out, err := harness.RunAllWith(opts, runner, func(e harness.Experiment) {
-			fmt.Fprintf(stderr, "planning %s...\n", e.Name)
-		})
-		if err != nil {
-			fmt.Fprintf(stderr, "jrs: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "done: %d cells simulated, %d from cache\n",
-			runner.Simulated(), runner.CacheHits())
-		fmt.Fprint(stdout, out)
-		return reportExit(runner, *keepgoing, stdout)
+		return runSet(harness.Experiments(), opts, runner, *keepgoing, stdout, stderr)
 
 	case "run":
 		if fs.NArg() < 2 {
@@ -296,14 +291,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return analyze(fs.Args()[1:], opts, runner, *jsonOut, stdout, stderr)
 
 	default:
-		exp, ok := harness.Lookup(cmd)
-		if !ok {
-			fmt.Fprintf(stderr, "jrs: unknown experiment %q\n\nregistered experiments:\n", cmd)
-			for _, name := range harness.Names() {
-				fmt.Fprintf(stderr, "  %s\n", name)
+		var exps []harness.Experiment
+		for _, name := range fs.Args() {
+			exp, ok := harness.Lookup(name)
+			if !ok {
+				fmt.Fprintf(stderr, "jrs: unknown experiment %q\n\nregistered experiments:\n", name)
+				for _, name := range harness.Names() {
+					fmt.Fprintf(stderr, "  %s\n", name)
+				}
+				return 2
 			}
-			return 2
+			exps = append(exps, exp)
 		}
+		if len(exps) > 1 {
+			return runSet(exps, opts, runner, *keepgoing, stdout, stderr)
+		}
+		exp := exps[0]
 		fmt.Fprintf(stderr, "running %s...\n", exp.Name)
 		r, err := exp.RunWith(opts, runner)
 		if err != nil {
@@ -316,17 +319,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// runSet runs several experiments (or all of them) as one batched grid
+// and prints them in the sectioned `jrs all` format, with the run's
+// tally on stderr.
+func runSet(exps []harness.Experiment, opts harness.Options, runner *harness.Runner, keepgoing bool, stdout, stderr io.Writer) int {
+	out, err := harness.RunSetWith(exps, opts, runner, func(e harness.Experiment) {
+		fmt.Fprintf(stderr, "planning %s...\n", e.Name)
+	})
+	if err != nil {
+		fmt.Fprintf(stderr, "jrs: %v\n", err)
+		return 1
+	}
+	fmt.Fprintf(stderr, "done: %d cells simulated in %d stream executions, %d from cache\n",
+		runner.Simulated(), runner.Executions(), runner.CacheHits())
+	fmt.Fprint(stdout, out)
+	return reportExit(runner, keepgoing, stdout)
+}
+
 // runRemote submits an experiment grid to a jrsd coordinator and
 // relays its merged output — byte-identical to running the same grid
 // locally — propagating the remote exit code (0 healthy, 1 failed,
 // 2 usage, 3 degraded keep-going run).
-func runRemote(addr, cmd string, opts harness.Options, stdout, stderr io.Writer) int {
+func runRemote(addr string, args []string, opts harness.Options, stdout, stderr io.Writer) int {
+	cmd := ""
+	if len(args) > 0 {
+		cmd = args[0]
+	}
 	switch cmd {
 	case "", "list", "run", "lint", "analyze":
-		fmt.Fprintln(stderr, "jrs: -remote runs experiment grids only (an experiment name, or \"all\")")
+		fmt.Fprintln(stderr, "jrs: -remote runs experiment grids only (experiment names, or \"all\")")
 		return 2
 	}
-	grid := dist.GridSpec{Experiments: []string{cmd}, Opts: dist.SpecOf(opts)}
+	grid := dist.GridSpec{Experiments: args, Opts: dist.SpecOf(opts)}
 	out, err := dist.Submit(addr, grid, 0)
 	if err != nil {
 		fmt.Fprintf(stderr, "jrs: %v\n", err)

@@ -125,6 +125,34 @@ func TestCachedirReuse(t *testing.T) {
 	}
 }
 
+// TestGridTally pins the deterministic stderr tally of a batched grid.
+// The hello grid's 34 unique cells fuse into 14 stream executions (3
+// shared streams plus 11 cells that run alone); several named
+// experiments run as one grid in the `jrs all` format.
+func TestGridTally(t *testing.T) {
+	for _, tc := range []struct {
+		args     []string
+		tally    string
+		sections []string
+	}{
+		{[]string{"all"}, "done: 34 cells simulated in 14 stream executions, 0 from cache\n", []string{"## fig1 ", "## ablate-codecache "}},
+		{[]string{"fig2", "table2"}, "done: 4 cells simulated in 2 stream executions, 0 from cache\n", []string{"## fig2 ", "## table2 "}},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(append([]string{"-quick", "-w", "hello"}, tc.args...), &out, &errb); code != 0 {
+			t.Fatalf("%v failed (%d): %s", tc.args, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), tc.tally) {
+			t.Errorf("%v: stderr missing %q:\n%s", tc.args, tc.tally, errb.String())
+		}
+		for _, s := range tc.sections {
+			if !strings.Contains(out.String(), s) {
+				t.Errorf("%v: stdout missing section %q", tc.args, s)
+			}
+		}
+	}
+}
+
 // TestChaosFlagValidation: a malformed -chaos spec is a usage error
 // (exit 2) before any simulation starts.
 func TestChaosFlagValidation(t *testing.T) {

@@ -88,6 +88,30 @@ func (s *Stats) Add(o Stats) {
 	s.Writebacks += o.Writebacks
 }
 
+// lineSet is a set of line addresses kept as a sparse bitmap: one
+// 4096-line page per touched region of the address space. A trace's
+// footprint is a few dense regions (code, heap, stack, class data), so
+// the set costs about a bit per touched line instead of a map entry
+// each, which matters when one run feeds dozens of caches.
+type lineSet map[uint64]*[lineSetWords]uint64
+
+const lineSetWords = 64 // 64 words x 64 bits = 4096 lines per page
+
+// add inserts lineAddr and reports whether it was absent.
+func (s lineSet) add(lineAddr uint64) bool {
+	page := s[lineAddr>>12]
+	if page == nil {
+		page = new([lineSetWords]uint64)
+		s[lineAddr>>12] = page
+	}
+	w, bit := &page[(lineAddr>>6)%lineSetWords], uint64(1)<<(lineAddr%64)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	return true
+}
+
 type line struct {
 	tag   uint64
 	valid bool
@@ -105,7 +129,7 @@ type Cache struct {
 	setShift  uint
 	setMask   uint64
 	tick      uint64
-	seen      map[uint64]struct{} // line addresses ever touched, for compulsory classification
+	seen      lineSet // line addresses ever touched, for compulsory classification
 	Stats     Stats
 	// PhaseStats splits outcomes by a caller-set phase index (the JIT
 	// translate-isolation study). Callers index it with trace.Phase.
@@ -139,7 +163,7 @@ func New(cfg Config) *Cache {
 		lineShift: shift,
 		setShift:  uintLog2(numSets),
 		setMask:   uint64(numSets - 1),
-		seen:      make(map[uint64]struct{}),
+		seen:      make(lineSet),
 	}
 	c.ps = &c.PhaseStats[0]
 	return c
@@ -193,8 +217,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 		c.Stats.ReadMisses++
 		ps.ReadMisses++
 	}
-	if _, ok := c.seen[lineAddr]; !ok {
-		c.seen[lineAddr] = struct{}{}
+	if c.seen.add(lineAddr) {
 		c.Stats.Compulsory++
 		ps.Compulsory++
 	}
@@ -233,7 +256,7 @@ func (c *Cache) InstallLine(addr uint64) {
 	set := c.sets[setIdx]
 	tag := lineAddr >> c.setShift
 	c.tick++
-	c.seen[lineAddr] = struct{}{}
+	c.seen.add(lineAddr)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i].lru = c.tick

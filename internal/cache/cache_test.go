@@ -156,6 +156,34 @@ func TestInvariantsProperty(t *testing.T) {
 	}
 }
 
+// Property: the bitmap line set agrees with a plain map on membership,
+// for addresses over the full 64-bit range, small addresses and a run
+// straddling the first page boundary, each inserted twice.
+func TestLineSetMatchesMap(t *testing.T) {
+	f := func(addrs []uint64, offs []uint8) bool {
+		var xs []uint64
+		for _, a := range addrs {
+			xs = append(xs, a, a>>40)
+		}
+		for _, o := range offs {
+			xs = append(xs, 4032+uint64(o))
+		}
+		s, m := make(lineSet), make(map[uint64]bool)
+		for pass := 0; pass < 2; pass++ {
+			for _, x := range xs {
+				if s.add(x) == m[x] {
+					return false
+				}
+				m[x] = true
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: a larger cache of the same geometry never has more misses on
 // the same (read-only) trace — inclusion property of LRU.
 func TestLRUInclusionProperty(t *testing.T) {

@@ -40,7 +40,7 @@ func ablateInstallPlan(o Options) (*Plan, *AblateInstallResult) {
 		scale := resolveScale(o, w)
 		key := CellKey{Experiment: "ablate-install", Workload: w.Name, Scale: scale, Mode: ModeJIT.String(),
 			Config: "wa+wna+direct"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
+		p.addProbe(key, &res.Rows[i], stream{w, scale, ModeJIT}, func() (trace.Sink, func() (any, error)) {
 			wa := cache.PaperDefault()
 
 			wna := cache.NewHierarchy(
@@ -53,31 +53,24 @@ func ablateInstallPlan(o Options) (*Plan, *AblateInstallResult) {
 			direct.CodeLow = mem.CodeCacheBase
 			direct.CodeHigh = mem.ClassBase
 
-			if _, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{}, wa, wna, direct); err != nil {
-				return nil, err
+			return trace.Tee(wa, wna, direct), func() (any, error) {
+				return AblateInstallRow{
+					Workload:        w.Name,
+					DMissesWA:       wa.D.Stats.Misses(),
+					DMissesWNA:      wna.D.Stats.Misses(),
+					DMissesDirect:   direct.D.Stats.Misses(),
+					IMissesWA:       wa.I.Stats.Misses(),
+					IMissesDirect:   direct.I.Stats.Misses(),
+					WriteMissFracWA: wa.D.Stats.WriteMissFrac(),
+				}, nil
 			}
-			return AblateInstallRow{
-				Workload:        w.Name,
-				DMissesWA:       wa.D.Stats.Misses(),
-				DMissesWNA:      wna.D.Stats.Misses(),
-				DMissesDirect:   direct.D.Stats.Misses(),
-				IMissesWA:       wa.I.Stats.Misses(),
-				IMissesDirect:   direct.I.Stats.Misses(),
-				WriteMissFracWA: wa.D.Stats.WriteMissFrac(),
-			}, nil
 		})
 	}
 	return p, res
 }
 
 // AblateInstall runs the three installation policies per workload.
-func AblateInstall(o Options) (*AblateInstallResult, error) {
-	p, res := ablateInstallPlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func AblateInstall(o Options) (*AblateInstallResult, error) { return runPlan(ablateInstallPlan, o) }
 
 // Render formats the installation ablation.
 func (r *AblateInstallResult) Render() string {
@@ -147,13 +140,7 @@ func ablateInlinePlan(o Options) (*Plan, *AblateInlineResult) {
 
 // AblateInline measures the virtual-call optimization's effect on
 // indirect-branch frequency and predictability.
-func AblateInline(o Options) (*AblateInlineResult, error) {
-	p, res := ablateInlinePlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func AblateInline(o Options) (*AblateInlineResult, error) { return runPlan(ablateInlinePlan, o) }
 
 // Render formats the inline ablation.
 func (r *AblateInlineResult) Render() string {
@@ -228,11 +215,7 @@ func ablateThresholdPlan(o Options) (*Plan, *AblateThresholdResult) {
 // AblateThreshold sweeps translate policies (the adaptive-compilation
 // design space the paper's §3 opens).
 func AblateThreshold(o Options) (*AblateThresholdResult, error) {
-	p, res := ablateThresholdPlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runPlan(ablateThresholdPlan, o)
 }
 
 // Render formats the threshold ablation (normalized to jit-first).
@@ -306,13 +289,7 @@ func ablateScalePlan(o Options) (*Plan, *ScaleResult) {
 
 // AblateScale measures the translate fraction at multiples of each
 // workload's default scale.
-func AblateScale(o Options) (*ScaleResult, error) {
-	p, res := ablateScalePlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func AblateScale(o Options) (*ScaleResult, error) { return runPlan(ablateScalePlan, o) }
 
 // Render formats the scale study.
 func (r *ScaleResult) Render() string {

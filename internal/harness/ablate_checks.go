@@ -81,13 +81,7 @@ func ablateChecksPlan(o Options) (*Plan, *AblateChecksResult) {
 }
 
 // AblateChecks measures check elision per workload.
-func AblateChecks(o Options) (*AblateChecksResult, error) {
-	p, res := ablateChecksPlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func AblateChecks(o Options) (*AblateChecksResult, error) { return runPlan(ablateChecksPlan, o) }
 
 // Render formats the check-elision ablation.
 func (r *AblateChecksResult) Render() string {

@@ -75,13 +75,7 @@ func ablateDevirtPlan(o Options) (*Plan, *AblateDevirtResult) {
 }
 
 // AblateDevirt measures the devirtualization ladder per workload.
-func AblateDevirt(o Options) (*AblateDevirtResult, error) {
-	p, res := ablateDevirtPlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func AblateDevirt(o Options) (*AblateDevirtResult, error) { return runPlan(ablateDevirtPlan, o) }
 
 // Render formats the devirtualization ablation.
 func (r *AblateDevirtResult) Render() string {
@@ -146,13 +140,7 @@ func ablateElidePlan(o Options) (*Plan, *AblateElideResult) {
 }
 
 // AblateElide measures lock elision per workload.
-func AblateElide(o Options) (*AblateElideResult, error) {
-	p, res := ablateElidePlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func AblateElide(o Options) (*AblateElideResult, error) { return runPlan(ablateElidePlan, o) }
 
 // Render formats the lock-elision ablation.
 func (r *AblateElideResult) Render() string {

@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
-	"jrs/internal/core"
 	"jrs/internal/pipeline"
 	"jrs/internal/stats"
 	"jrs/internal/trace"
@@ -58,7 +56,7 @@ func ablateOoOPlan(o Options) (*Plan, *AblateOoOResult) {
 		scale := resolveScale(o, w)
 		key := CellKey{Experiment: "ablate-ooo", Workload: w.Name, Scale: scale, Mode: ModeJIT.String(),
 			Config: "rob8-256.rs2-64.lsq4-128.width=4"}
-		p.add(key, &res.Cells[i], func(ctx context.Context) (any, error) {
+		p.addProbe(key, &res.Cells[i], stream{w, scale, ModeJIT}, func() (trace.Sink, func() (any, error)) {
 			var cores [][]*pipeline.Core
 			var checks []*pipeline.Checker
 			var sinks []trace.Sink
@@ -76,21 +74,20 @@ func ablateOoOPlan(o Options) (*Plan, *AblateOoOResult) {
 				}
 				cores = append(cores, axCores)
 			}
-			if _, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{}, sinks...); err != nil {
-				return nil, err
-			}
-			if err := checkerErrs(checks); err != nil {
-				return nil, fmt.Errorf("%s: %w", w.Name, err)
-			}
-			cell := OoOCell{}
-			for a, ax := range oooAxes {
-				row := OoOSweepRow{Workload: w.Name, Axis: ax.Name, Sizes: ax.Sizes}
-				for _, c := range cores[a] {
-					row.IPC = append(row.IPC, c.IPC())
+			return trace.Tee(sinks...), func() (any, error) {
+				if err := checkerErrs(checks); err != nil {
+					return nil, fmt.Errorf("%s: %w", w.Name, err)
 				}
-				cell.Rows = append(cell.Rows, row)
+				cell := OoOCell{}
+				for a, ax := range oooAxes {
+					row := OoOSweepRow{Workload: w.Name, Axis: ax.Name, Sizes: ax.Sizes}
+					for _, c := range cores[a] {
+						row.IPC = append(row.IPC, c.IPC())
+					}
+					cell.Rows = append(cell.Rows, row)
+				}
+				return cell, nil
 			}
-			return cell, nil
 		})
 	}
 	return p, res
@@ -98,13 +95,7 @@ func ablateOoOPlan(o Options) (*Plan, *AblateOoOResult) {
 
 // AblateOoO sweeps ROB size, reservation-station count and LSQ depth
 // around the Figure 9 core on every workload's JIT-mode trace.
-func AblateOoO(o Options) (*AblateOoOResult, error) {
-	p, res := ablateOoOPlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func AblateOoO(o Options) (*AblateOoOResult, error) { return runPlan(ablateOoOPlan, o) }
 
 // Render formats the sweep: one row per workload × axis, columns at
 // shared multipliers of the default capacity.

@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
 	"jrs/internal/cache"
-	"jrs/internal/core"
 	"jrs/internal/stats"
 	"jrs/internal/trace"
 	"jrs/internal/workloads"
@@ -32,31 +30,34 @@ func table3Plan(o Options) (*Plan, *Table3Result) {
 	p := newPlan("table3", res)
 	for _, w := range list {
 		for _, mode := range []Mode{ModeInterp, ModeJIT} {
-			w, mode := w, mode
 			scale := resolveScale(o, w)
 			res.Rows = append(res.Rows, Table3Row{})
-			key := CellKey{Experiment: "table3", Workload: w.Name, Scale: scale, Mode: mode.String(),
-				Config: "64K-32B-i2w-d4w"}
-			p.add(key, &res.Rows[len(res.Rows)-1], func(ctx context.Context) (any, error) {
-				h := cache.PaperDefault()
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, h); err != nil {
-					return nil, err
-				}
-				return Table3Row{Workload: w.Name, Mode: mode, I: h.I.Stats, D: h.D.Stats}, nil
-			})
+			p.addProbe(table3Key(w, scale, mode), &res.Rows[len(res.Rows)-1],
+				stream{w, scale, mode}, table3Probe(w, mode))
 		}
 	}
 	return p, res
 }
 
-// Table3 measures L1 reference and miss counts per workload and mode.
-func Table3(o Options) (*Table3Result, error) {
-	p, res := table3Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+// table3Key is the key of a table3 cell; Figure 4 reuses these cells
+// for its interp and JIT columns.
+func table3Key(w workloads.Workload, scale int, mode Mode) CellKey {
+	return CellKey{Experiment: "table3", Workload: w.Name, Scale: scale, Mode: mode.String(),
+		Config: "64K-32B-i2w-d4w"}
 }
+
+// table3Probe attaches the paper's headline hierarchy.
+func table3Probe(w workloads.Workload, mode Mode) probe {
+	return func() (trace.Sink, func() (any, error)) {
+		h := cache.PaperDefault()
+		return h, func() (any, error) {
+			return Table3Row{Workload: w.Name, Mode: mode, I: h.I.Stats, D: h.D.Stats}, nil
+		}
+	}
+}
+
+// Table3 measures L1 reference and miss counts per workload and mode.
+func Table3(o Options) (*Table3Result, error) { return runPlan(table3Plan, o) }
 
 // Render formats Table 3.
 func (r *Table3Result) Render() string {
@@ -116,7 +117,7 @@ func fig3Plan(o Options) (*Plan, *Fig3Result) {
 			res.Rows = append(res.Rows, Fig3Row{})
 			key := CellKey{Experiment: "fig3", Workload: w.Name, Scale: scale, Mode: mode.String(),
 				Config: "dm-32B-8K..128K"}
-			p.add(key, &res.Rows[len(res.Rows)-1], func(ctx context.Context) (any, error) {
+			p.addProbe(key, &res.Rows[len(res.Rows)-1], stream{w, scale, mode}, func() (trace.Sink, func() (any, error)) {
 				var hs []*cache.Hierarchy
 				var sinks []trace.Sink
 				for _, sz := range sizes {
@@ -127,14 +128,13 @@ func fig3Plan(o Options) (*Plan, *Fig3Result) {
 					hs = append(hs, h)
 					sinks = append(sinks, h)
 				}
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, sinks...); err != nil {
-					return nil, err
+				return trace.Tee(sinks...), func() (any, error) {
+					row := Fig3Row{Workload: w.Name, Mode: mode, Sizes: sizes}
+					for _, h := range hs {
+						row.WriteMissFracs = append(row.WriteMissFracs, h.D.Stats.WriteMissFrac())
+					}
+					return row, nil
 				}
-				row := Fig3Row{Workload: w.Name, Mode: mode, Sizes: sizes}
-				for _, h := range hs {
-					row.WriteMissFracs = append(row.WriteMissFracs, h.D.Stats.WriteMissFrac())
-				}
-				return row, nil
 			})
 		}
 	}
@@ -143,13 +143,7 @@ func fig3Plan(o Options) (*Plan, *Fig3Result) {
 
 // Fig3 sweeps D-cache sizes, all caches attached to one run per
 // (workload, mode).
-func Fig3(o Options) (*Fig3Result, error) {
-	p, res := fig3Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func Fig3(o Options) (*Fig3Result, error) { return runPlan(fig3Plan, o) }
 
 // Render formats Figure 3.
 func (r *Fig3Result) Render() string {
@@ -187,7 +181,10 @@ type cacheIR struct{ I, D cache.Stats }
 
 // fig4Plan enumerates the mode-comparison grid: one cell per
 // (workload, mode) over interp, jit and aot; the suite averages
-// aggregate after every cell completed.
+// aggregate after every cell completed. Every cell attaches table3's
+// hierarchy, and the interp and JIT cells are table3's own (same key),
+// so a run with both experiments simulates that hierarchy once per
+// stream. A Table3Row payload decodes into the cacheIR slot.
 func fig4Plan(o Options) (*Plan, *Fig4Result) {
 	list := o.seven()
 	modes := []Mode{ModeInterp, ModeJIT, ModeAOT}
@@ -196,17 +193,12 @@ func fig4Plan(o Options) (*Plan, *Fig4Result) {
 	p := newPlan("fig4", res)
 	for wi, w := range list {
 		for mi, mode := range modes {
-			wi, mi, w, mode := wi, mi, w, mode
 			scale := resolveScale(o, w)
-			key := CellKey{Experiment: "fig4", Workload: w.Name, Scale: scale, Mode: mode.String(),
-				Config: "64K-32B-i2w-d4w"}
-			p.add(key, &grid[wi][mi], func(ctx context.Context) (any, error) {
-				h := cache.PaperDefault()
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, h); err != nil {
-					return nil, err
-				}
-				return cacheIR{I: h.I.Stats, D: h.D.Stats}, nil
-			})
+			key := table3Key(w, scale, mode)
+			if mode == ModeAOT {
+				key.Experiment = "fig4"
+			}
+			p.addProbe(key, &grid[wi][mi], stream{w, scale, mode}, table3Probe(w, mode))
 		}
 	}
 	p.finish = func() error {
@@ -236,13 +228,7 @@ func fig4Plan(o Options) (*Plan, *Fig4Result) {
 }
 
 // Fig4 measures interp, JIT and AOT (C-like) miss rates at 64K.
-func Fig4(o Options) (*Fig4Result, error) {
-	p, res := fig4Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func Fig4(o Options) (*Fig4Result, error) { return runPlan(fig4Plan, o) }
 
 // Render formats Figure 4.
 func (r *Fig4Result) Render() string {
@@ -290,28 +276,20 @@ func fig5Plan(o Options) (*Plan, *Fig5Result) {
 		scale := resolveScale(o, w)
 		key := CellKey{Experiment: "fig5", Workload: w.Name, Scale: scale, Mode: ModeJIT.String(),
 			Config: "64K-32B-i2w-d4w-phase"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
-			return fig5Cell(ctx, w, scale)
+		p.addProbe(key, &res.Rows[i], stream{w, scale, ModeJIT}, func() (trace.Sink, func() (any, error)) {
+			h := cache.PaperDefault()
+			return h, func() (any, error) { return fig5Row(w, h), nil }
 		})
 	}
 	return p, res
 }
 
 // Fig5 runs JIT mode with phase-attributed caches.
-func Fig5(o Options) (*Fig5Result, error) {
-	p, res := fig5Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func Fig5(o Options) (*Fig5Result, error) { return runPlan(fig5Plan, o) }
 
-// fig5Cell measures one workload's translate-portion cache behaviour.
-func fig5Cell(ctx context.Context, w workloads.Workload, scale int) (Fig5Row, error) {
-	h := cache.PaperDefault()
-	if _, err := RunCtx(ctx, w, scale, ModeJIT, core.Config{}, h); err != nil {
-		return Fig5Row{}, err
-	}
+// fig5Row splits a JIT run's phase-attributed cache statistics into the
+// translate portion and the rest.
+func fig5Row(w workloads.Workload, h *cache.Hierarchy) Fig5Row {
 	tI := h.I.PhaseStats[trace.PhaseTranslate]
 	tD := h.D.PhaseStats[trace.PhaseTranslate]
 	allI, allD := h.I.Stats, h.D.Stats
@@ -335,7 +313,7 @@ func fig5Cell(ctx context.Context, w workloads.Workload, scale int) (Fig5Row, er
 	}
 	row.IMissRateRest = restI.MissRate()
 	row.DMissRateRest = restD.MissRate()
-	return row, nil
+	return row
 }
 
 // Render formats Figure 5.
@@ -385,26 +363,19 @@ func fig6Plan(o Options) (*Plan, *Fig6Result) {
 		}
 		key := CellKey{Experiment: "fig6", Workload: w.Name, Scale: scale, Mode: mode.String(),
 			Config: fmt.Sprintf("window=%d", window)}
-		p.add(key, dest, func(ctx context.Context) (any, error) {
+		p.addProbe(key, dest, stream{w, scale, mode}, func() (trace.Sink, func() (any, error)) {
 			s := cache.NewSampler(cache.PaperDefault(), window)
-			if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, s); err != nil {
-				return nil, err
+			return s, func() (any, error) {
+				s.Finish()
+				return s.Series, nil
 			}
-			s.Finish()
-			return s.Series, nil
 		})
 	}
 	return p, res
 }
 
 // Fig6 samples cache misses over execution windows.
-func Fig6(o Options) (*Fig6Result, error) {
-	p, res := fig6Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func Fig6(o Options) (*Fig6Result, error) { return runPlan(fig6Plan, o) }
 
 // Render formats Figure 6 as two sparkline series.
 func (r *Fig6Result) Render() string {
@@ -477,13 +448,7 @@ func fig7Plan(o Options) (*Plan, *Fig7Result) {
 }
 
 // Fig7 sweeps associativity 1/2/4/8 on 8K caches with 32B lines.
-func Fig7(o Options) (*Fig7Result, error) {
-	p, res := fig7Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func Fig7(o Options) (*Fig7Result, error) { return runPlan(fig7Plan, o) }
 
 // Render formats Figure 7.
 func (r *Fig7Result) Render() string {
@@ -509,13 +474,7 @@ func fig8Plan(o Options) (*Plan, *Fig8Result) {
 }
 
 // Fig8 sweeps line size 16/32/64/128 on 8K direct-mapped caches.
-func Fig8(o Options) (*Fig8Result, error) {
-	p, res := fig8Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func Fig8(o Options) (*Fig8Result, error) { return runPlan(fig8Plan, o) }
 
 // Render formats Figure 8.
 func (r *Fig8Result) Render() string {
@@ -538,7 +497,7 @@ func sweepPlan(o Options, experiment, cfg string, rows *[]SweepRow, params []int
 			scale := resolveScale(o, w)
 			key := CellKey{Experiment: experiment, Workload: w.Name, Scale: scale, Mode: mode.String(),
 				Config: cfg}
-			p.add(key, &(*rows)[idx], func(ctx context.Context) (any, error) {
+			p.addProbe(key, &(*rows)[idx], stream{w, scale, mode}, func() (trace.Sink, func() (any, error)) {
 				var hs []*cache.Hierarchy
 				var sinks []trace.Sink
 				for _, prm := range params {
@@ -547,15 +506,14 @@ func sweepPlan(o Options, experiment, cfg string, rows *[]SweepRow, params []int
 					hs = append(hs, h)
 					sinks = append(sinks, h)
 				}
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, sinks...); err != nil {
-					return nil, err
+				return trace.Tee(sinks...), func() (any, error) {
+					row := SweepRow{Workload: w.Name, Mode: mode, Params: params}
+					for _, h := range hs {
+						row.IMiss = append(row.IMiss, h.I.Stats.MissRate())
+						row.DMiss = append(row.DMiss, h.D.Stats.MissRate())
+					}
+					return row, nil
 				}
-				row := SweepRow{Workload: w.Name, Mode: mode, Params: params}
-				for _, h := range hs {
-					row.IMiss = append(row.IMiss, h.I.Stats.MissRate())
-					row.DMiss = append(row.DMiss, h.D.Stats.MissRate())
-				}
-				return row, nil
 			})
 			idx++
 		}

@@ -215,8 +215,8 @@ func (w *Worker) heartbeat(fc *frameConn, l Lease) (stop func()) {
 
 // attempt makes one isolated attempt at a cell: chaos injection,
 // simulation under the watchdog context, panic isolation. The mirror of
-// Runner.attemptGroup's execution half (the coordinator owns the
-// cache/journal/deliver half).
+// the simulation half of Runner.attemptExecution for a one-group
+// execution (the coordinator owns the cache/journal/deliver half).
 func (w *Worker) attempt(ctx context.Context, g *harness.CellGroup, attempt int) (raw []byte, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {

@@ -40,23 +40,21 @@ func ablateIndirectPlan(o Options) (*Plan, *AblateIndirectResult) {
 			res.Rows = append(res.Rows, IndirectRow{})
 			key := CellKey{Experiment: "ablate-indirect", Workload: w.Name, Scale: scale, Mode: mode.String(),
 				Config: "btb+targetcache"}
-			p.add(key, &res.Rows[len(res.Rows)-1], func(ctx context.Context) (any, error) {
+			p.addProbe(key, &res.Rows[len(res.Rows)-1], stream{w, scale, mode}, func() (trace.Sink, func() (any, error)) {
 				base := branch.NewUnit(branch.NewGshare(2048, 5), 1024)
 				enhanced := branch.NewIndirectUnit()
-				baseSink := sinkUnit{base}
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, baseSink, enhanced); err != nil {
-					return nil, err
+				return trace.Tee(sinkUnit{base}, enhanced), func() (any, error) {
+					row := IndirectRow{Workload: w.Name, Mode: mode}
+					row.BTBMiss = base.Stats.MispredictRate()
+					row.TCMiss = enhanced.Stats.MispredictRate()
+					if base.Stats.Indirects > 0 {
+						row.BTBIndirectMiss = float64(base.Stats.IndirectMispredicts) /
+							float64(base.Stats.Indirects)
+						row.TCIndirectMiss = float64(enhanced.Stats.IndirectMispredicts) /
+							float64(enhanced.Stats.Indirects)
+					}
+					return row, nil
 				}
-				row := IndirectRow{Workload: w.Name, Mode: mode}
-				row.BTBMiss = base.Stats.MispredictRate()
-				row.TCMiss = enhanced.Stats.MispredictRate()
-				if base.Stats.Indirects > 0 {
-					row.BTBIndirectMiss = float64(base.Stats.IndirectMispredicts) /
-						float64(base.Stats.Indirects)
-					row.TCIndirectMiss = float64(enhanced.Stats.IndirectMispredicts) /
-						float64(enhanced.Stats.Indirects)
-				}
-				return row, nil
 			})
 		}
 	}
@@ -66,13 +64,7 @@ func ablateIndirectPlan(o Options) (*Plan, *AblateIndirectResult) {
 // AblateIndirect measures how much a two-level target cache recovers of
 // the interpreter's indirect-branch misprediction burden (§4.2/§6: "a
 // predictor well-tailored for indirect branches should be used").
-func AblateIndirect(o Options) (*AblateIndirectResult, error) {
-	p, res := ablateIndirectPlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func AblateIndirect(o Options) (*AblateIndirectResult, error) { return runPlan(ablateIndirectPlan, o) }
 
 // sinkUnit adapts a branch.Unit to trace.Sink.
 type sinkUnit struct{ u *branch.Unit }
@@ -178,13 +170,7 @@ func ablateTieredPlan(o Options) (*Plan, *AblateTieredResult) {
 
 // AblateTiered measures the §7 extension: recompiling hot methods with
 // the optimizing (register) code generator after a second threshold.
-func AblateTiered(o Options) (*AblateTieredResult, error) {
-	p, res := ablateTieredPlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func AblateTiered(o Options) (*AblateTieredResult, error) { return runPlan(ablateTieredPlan, o) }
 
 // Render formats the tiered study.
 func (r *AblateTieredResult) Render() string {

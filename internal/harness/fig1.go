@@ -110,13 +110,7 @@ func fig1Plan(o Options) (*Plan, *Fig1Result) {
 // Fig1 runs the when-or-whether-to-translate study. The workload order
 // follows the paper's Figure 1 (hello first, then the five benchmarks it
 // uses).
-func Fig1(o Options) (*Fig1Result, error) {
-	p, res := fig1Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func Fig1(o Options) (*Fig1Result, error) { return runPlan(fig1Plan, o) }
 
 // Render formats the Figure 1 report.
 func (r *Fig1Result) Render() string {
@@ -207,13 +201,7 @@ func table1Plan(o Options) (*Plan, *Table1Result) {
 }
 
 // Table1 measures each runtime's memory requirement under both engines.
-func Table1(o Options) (*Table1Result, error) {
-	p, res := table1Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func Table1(o Options) (*Table1Result, error) { return runPlan(table1Plan, o) }
 
 // Render formats Table 1.
 func (r *Table1Result) Render() string {

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"context"
-	"jrs/internal/core"
 	"jrs/internal/stats"
 	"jrs/internal/trace"
 )
@@ -35,12 +33,9 @@ func fig2Plan(o Options) (*Plan, *Fig2Result) {
 			scale := resolveScale(o, w)
 			res.Rows = append(res.Rows, MixRow{Workload: w.Name, Mode: mode})
 			key := CellKey{Experiment: "fig2", Workload: w.Name, Scale: scale, Mode: mode.String()}
-			p.add(key, &res.Rows[len(res.Rows)-1].Counter, func(ctx context.Context) (any, error) {
+			p.addProbe(key, &res.Rows[len(res.Rows)-1].Counter, stream{w, scale, mode}, func() (trace.Sink, func() (any, error)) {
 				c := &trace.Counter{}
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, c); err != nil {
-					return nil, err
-				}
-				return c, nil
+				return c, func() (any, error) { return c, nil }
 			})
 		}
 	}
@@ -65,13 +60,7 @@ func fig2Plan(o Options) (*Plan, *Fig2Result) {
 }
 
 // Fig2 measures the native instruction mix in both modes.
-func Fig2(o Options) (*Fig2Result, error) {
-	p, res := fig2Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func Fig2(o Options) (*Fig2Result, error) { return runPlan(fig2Plan, o) }
 
 // Render formats Figure 2.
 func (r *Fig2Result) Render() string {

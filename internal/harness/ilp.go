@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 
-	"jrs/internal/core"
 	"jrs/internal/pipeline"
 	"jrs/internal/stats"
 	"jrs/internal/trace"
@@ -41,7 +39,7 @@ func fig9Plan(o Options) (*Plan, *Fig9Result) {
 			res.Rows = append(res.Rows, ILPRow{})
 			key := CellKey{Experiment: "fig9", Workload: w.Name, Scale: scale, Mode: mode.String(),
 				Config: "width=1,2,4,8"}
-			p.add(key, &res.Rows[len(res.Rows)-1], func(ctx context.Context) (any, error) {
+			p.addProbe(key, &res.Rows[len(res.Rows)-1], stream{w, scale, mode}, func() (trace.Sink, func() (any, error)) {
 				var cores []*pipeline.Core
 				var checks []*pipeline.Checker
 				var sinks []trace.Sink
@@ -53,18 +51,17 @@ func fig9Plan(o Options) (*Plan, *Fig9Result) {
 					cores = append(cores, c)
 					sinks = append(sinks, c)
 				}
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, sinks...); err != nil {
-					return nil, err
+				return trace.Tee(sinks...), func() (any, error) {
+					if err := checkerErrs(checks); err != nil {
+						return nil, err
+					}
+					row := ILPRow{Workload: w.Name, Mode: mode, Widths: widths}
+					for _, c := range cores {
+						row.IPC = append(row.IPC, c.IPC())
+						row.Cycles = append(row.Cycles, c.Cycles())
+					}
+					return row, nil
 				}
-				if err := checkerErrs(checks); err != nil {
-					return nil, err
-				}
-				row := ILPRow{Workload: w.Name, Mode: mode, Widths: widths}
-				for _, c := range cores {
-					row.IPC = append(row.IPC, c.IPC())
-					row.Cycles = append(row.Cycles, c.Cycles())
-				}
-				return row, nil
 			})
 		}
 	}
@@ -73,13 +70,7 @@ func fig9Plan(o Options) (*Plan, *Fig9Result) {
 
 // Fig9 simulates each workload on out-of-order cores of width 1/2/4/8 in
 // both execution modes (all widths attached to one run).
-func Fig9(o Options) (*Fig9Result, error) {
-	p, res := fig9Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func Fig9(o Options) (*Fig9Result, error) { return runPlan(fig9Plan, o) }
 
 // Render formats Figure 9.
 func (r *Fig9Result) Render() string {
@@ -150,13 +141,7 @@ func fig10Plan(o Options) (*Plan, *Fig10Result) {
 }
 
 // Fig10 runs the ILP study and renders the time-normalization view.
-func Fig10(o Options) (*Fig10Result, error) {
-	p, res := fig10Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func Fig10(o Options) (*Fig10Result, error) { return runPlan(fig10Plan, o) }
 
 // Render formats Figure 10.
 func (r *Fig10Result) Render() string { return r.RenderFig10() }

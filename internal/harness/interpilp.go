@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"context"
-	"jrs/internal/core"
 	"jrs/internal/pipeline"
 	"jrs/internal/stats"
 	"jrs/internal/trace"
@@ -34,7 +32,7 @@ func ablateInterpILPPlan(o Options) (*Plan, *AblateInterpILPResult) {
 		scale := resolveScale(o, w)
 		key := CellKey{Experiment: "ablate-interp-ilp", Workload: w.Name, Scale: scale, Mode: ModeInterp.String(),
 			Config: "btb+targetcache-width=1,2,4,8"}
-		p.add(key, &res.Rows[i], func(ctx context.Context) (any, error) {
+		p.addProbe(key, &res.Rows[i], stream{w, scale, ModeInterp}, func() (trace.Sink, func() (any, error)) {
 			var btbCores, tcCores []*pipeline.Core
 			var checks []*pipeline.Checker
 			var sinks []trace.Sink
@@ -50,18 +48,17 @@ func ablateInterpILPPlan(o Options) (*Plan, *AblateInterpILPResult) {
 				tcCores = append(tcCores, t)
 				sinks = append(sinks, b, t)
 			}
-			if _, err := RunCtx(ctx, w, scale, ModeInterp, core.Config{}, sinks...); err != nil {
-				return nil, err
+			return trace.Tee(sinks...), func() (any, error) {
+				if err := checkerErrs(checks); err != nil {
+					return nil, err
+				}
+				row := InterpILPRow{Workload: w.Name, Widths: widths}
+				for i := range widths {
+					row.IPCBtb = append(row.IPCBtb, btbCores[i].IPC())
+					row.IPCTc = append(row.IPCTc, tcCores[i].IPC())
+				}
+				return row, nil
 			}
-			if err := checkerErrs(checks); err != nil {
-				return nil, err
-			}
-			row := InterpILPRow{Workload: w.Name, Widths: widths}
-			for i := range widths {
-				row.IPCBtb = append(row.IPCBtb, btbCores[i].IPC())
-				row.IPCTc = append(row.IPCTc, tcCores[i].IPC())
-			}
-			return row, nil
 		})
 	}
 	return p, res
@@ -70,11 +67,7 @@ func ablateInterpILPPlan(o Options) (*Plan, *AblateInterpILPResult) {
 // AblateInterpILP runs the interpreter through cores of width 1-8 with
 // both front ends attached to the same trace.
 func AblateInterpILP(o Options) (*AblateInterpILPResult, error) {
-	p, res := ablateInterpILPPlan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runPlan(ablateInterpILPPlan, o)
 }
 
 // Render formats the study.

@@ -27,6 +27,17 @@ func planOf[T Renderer](build func(Options) (*Plan, T)) func(Options) *Plan {
 	}
 }
 
+// runPlan builds a typed plan and runs it serially (one worker, no
+// cache): the body of every typed entry point (Fig1, Table2, ...).
+func runPlan[T Renderer](build func(Options) (*Plan, T), o Options) (T, error) {
+	p, res := build(o)
+	if err := serialRunner().RunPlans(p); err != nil {
+		var zero T
+		return zero, err
+	}
+	return res, nil
+}
+
 // Run executes the experiment serially (one worker, no cache).
 func (e Experiment) Run(o Options) (Renderer, error) {
 	return e.RunWith(o, serialRunner())
@@ -133,10 +144,16 @@ func RunAll(o Options, progress func(name string)) (string, error) {
 
 // RunAllWith executes every registered experiment on the given runner,
 // batching all plans into a single RunPlans call so independent cells
-// across experiments run concurrently and duplicate cells simulate
-// once. The report is identical to running each experiment serially.
+// across experiments run concurrently, duplicate cells simulate once
+// and each shared stream runs once for all of its probes. The report is
+// identical to running each experiment serially.
 func RunAllWith(o Options, r *Runner, progress func(e Experiment)) (string, error) {
-	exps := Experiments()
+	return RunSetWith(Experiments(), o, r, progress)
+}
+
+// RunSetWith is RunAllWith over the given experiments: one batched grid,
+// rendered in the same sectioned format.
+func RunSetWith(exps []Experiment, o Options, r *Runner, progress func(e Experiment)) (string, error) {
 	plans := make([]*Plan, len(exps))
 	for i, e := range exps {
 		if progress != nil {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,11 +60,15 @@ func (k CellKey) Hash() string {
 // same JSON round trip, so a run never observes different values
 // depending on where a cell's result came from. The closure receives the
 // attempt's context and must pass it down (RunCtx) so the supervisor's
-// watchdog can cancel a hung simulation cooperatively.
+// watchdog can cancel a hung simulation cooperatively. A probe cell
+// (addProbe) also names its stream and probe, so the Runner can fuse it
+// with the other probes of that stream.
 type Cell struct {
-	Key  CellKey
-	sim  func(context.Context) (any, error)
-	dest any
+	Key    CellKey
+	sim    func(context.Context) (any, error)
+	stream *stream
+	probe  probe
+	dest   any
 }
 
 // Plan is an experiment's enumerated grid: its cells plus the result the
@@ -113,14 +118,14 @@ func resolveScale(o Options, w workloads.Workload) int {
 // supervision: each cell attempt runs with panic isolation (a panicking
 // simulator becomes a structured CellError, not a dead process), an
 // optional watchdog deadline, and bounded retry with deterministic
-// backoff for transient failures. Every cell owns its engine and
-// simulators, so cells never share mutable state; the merge into
-// experiment results is deterministic because each cell decodes into a
-// preallocated slot and post-aggregation runs in enumeration order. A
-// Runner with Workers <= 1 degenerates to the serial execution order of
-// the original per-experiment loops.
+// backoff for transient failures. The unit of work is an execution:
+// the pending probe cells of one stream share a single engine run, each
+// with its own sinks, while every other cell runs alone. Executions
+// never share mutable state; the merge into experiment results is
+// deterministic because each cell decodes into a preallocated slot and
+// post-aggregation runs in enumeration order.
 type Runner struct {
-	// Workers bounds concurrent cells; 0 (or negative) means
+	// Workers bounds concurrent executions; 0 (or negative) means
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// Cache, when non-nil, short-circuits cells whose key hash has a
@@ -135,10 +140,12 @@ type Runner struct {
 	// completes; cached reports whether the result came from the cache.
 	Progress func(key CellKey, cached bool)
 
-	// CellTimeout bounds one attempt of one cell (0 = no watchdog). The
-	// deadline reaches the engines through the cell's context and the
-	// cooperative core.Config.Cancel hook, so an expired attempt returns
-	// a retryable timeout error instead of hanging its worker forever.
+	// CellTimeout bounds one attempt of one execution — a stream run
+	// shared by its probe cells, or one opaque cell (0 = no watchdog).
+	// The deadline reaches the engines through the attempt's context and
+	// the cooperative core.Config.Cancel hook, so an expired attempt
+	// returns a retryable timeout error instead of hanging its worker
+	// forever.
 	CellTimeout time.Duration
 	// Retries bounds re-attempts after a retryable failure (0 = fail on
 	// the first error). Deterministic simulation errors never retry;
@@ -173,6 +180,7 @@ type Runner struct {
 	sleep func(time.Duration)
 
 	simulated  atomic.Int64
+	executions atomic.Int64
 	cacheHits  atomic.Int64
 	retried    atomic.Int64
 	progressMu sync.Mutex
@@ -186,6 +194,11 @@ type Runner struct {
 // Simulated returns how many cells this runner actually simulated
 // (cache misses included, cache hits excluded).
 func (r *Runner) Simulated() int64 { return r.simulated.Load() }
+
+// Executions returns how many executions simulated at least one cell:
+// stream runs shared by a stream's probes, plus opaque cells run alone.
+// Simulated()/Executions() is the average fan-out of one engine run.
+func (r *Runner) Executions() int64 { return r.executions.Load() }
 
 // CacheHits returns how many cells were served from the result cache.
 func (r *Runner) CacheHits() int64 { return r.cacheHits.Load() }
@@ -202,10 +215,12 @@ func (r *Runner) Retried() int64 { return r.retried.Load() }
 // destinations).
 type CellGroup struct {
 	// Key identifies the cell; Key.Hash() is its wire and cache address.
-	Key   CellKey
-	sim   func(context.Context) (any, error)
-	dests []any
-	order int // lowest cell index, for deterministic error selection
+	Key    CellKey
+	sim    func(context.Context) (any, error)
+	stream *stream
+	probe  probe
+	dests  []any
+	order  int // lowest cell index, for deterministic error selection
 }
 
 // Order returns the group's position in plan enumeration order — the
@@ -251,7 +266,7 @@ func GroupPlans(plans ...*Plan) []*CellGroup {
 			hash := c.Key.Hash()
 			g, ok := index[hash]
 			if !ok {
-				g = &CellGroup{Key: c.Key, sim: c.sim, order: order}
+				g = &CellGroup{Key: c.Key, sim: c.sim, stream: c.stream, probe: c.probe, order: order}
 				index[hash] = g
 				groups = append(groups, g)
 			}
@@ -305,35 +320,33 @@ func (r *Runner) RunPlans(plans ...*Plan) error {
 // Finish runs the plan's aggregation step (if any) with panic
 // isolation. The Runner calls it after every cell completed; the
 // distributed coordinator calls it in plan order once the grid drains.
-func (p *Plan) Finish() (err error) {
+func (p *Plan) Finish() error {
 	if p.finish == nil {
 		return nil
 	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = newPanicError(rec)
-		}
-	}()
-	return p.finish()
+	return guard(p.finish)
 }
 
-// runGroups drains the group list with Workers goroutines. Early-stop
-// semantics: once a worker claims a group, that group always runs to
-// completion and records its outcome (results, counters, progress,
-// journal) — a failure elsewhere only stops workers from claiming NEW
-// groups. Groups never claimed are accounted as skipped in Report().
+// runGroups fuses the groups into executions and drains them with
+// Workers goroutines, claiming executions in the enumeration order of
+// their first member. Early-stop semantics: once a worker claims an
+// execution, every member runs to completion and records its outcome
+// (results, counters, progress, journal) — a failure elsewhere only
+// stops workers from claiming NEW executions. Members of executions
+// never claimed are accounted as skipped in Report().
 func (r *Runner) runGroups(groups []*CellGroup) error {
+	execs := fuse(groups)
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(groups) {
-		workers = len(groups)
+	if workers > len(execs) {
+		workers = len(execs)
 	}
 	r.reportMu.Lock()
 	r.cells += len(groups)
 	r.reportMu.Unlock()
-	if len(groups) == 0 {
+	if len(execs) == 0 {
 		return nil
 	}
 
@@ -344,10 +357,16 @@ func (r *Runner) runGroups(groups []*CellGroup) error {
 		bestErr error
 		bestIdx int
 	)
-	fail := func(g *CellGroup, err error) {
+	fail := func(g *CellGroup, ce *CellError) {
+		r.recordFailure(g.order, CellFailure{
+			Key:      ce.Key,
+			Attempts: ce.Attempts,
+			Cause:    ce.Cause,
+			Err:      ce.Err.Error(),
+		})
 		mu.Lock()
 		if bestErr == nil || g.order < bestIdx {
-			bestErr, bestIdx = err, g.order
+			bestErr, bestIdx = fmt.Errorf("%s: %w", g.Key.Experiment, ce), g.order
 		}
 		mu.Unlock()
 		if !r.KeepGoing {
@@ -361,29 +380,27 @@ func (r *Runner) runGroups(groups []*CellGroup) error {
 		go func() {
 			defer wg.Done()
 			for {
-				// The stop check precedes the claim: a group is either
-				// never claimed (skipped) or fully supervised — claimed
-				// work is never silently dropped mid-cell.
+				// The stop check precedes the claim: an execution is
+				// either never claimed (skipped) or fully supervised —
+				// claimed work is never silently dropped mid-cell.
 				if stop.Load() {
 					return
 				}
 				i := int(next.Add(1)) - 1
-				if i >= len(groups) {
+				if i >= len(execs) {
 					return
 				}
-				g := groups[i]
+				x := execs[i]
 				r.reportMu.Lock()
-				r.attempted++
+				r.attempted += len(x.members)
 				r.reportMu.Unlock()
-				if ce := r.superviseGroup(g); ce != nil {
-					r.recordFailure(g.order, CellFailure{
-						Key:      ce.Key,
-						Attempts: ce.Attempts,
-						Cause:    ce.Cause,
-						Err:      ce.Err.Error(),
-					})
-					fail(g, fmt.Errorf("%s: %w", g.Key.Experiment, ce))
-				}
+				pprof.Do(context.Background(), x.labels(), func(ctx context.Context) {
+					for j, ce := range r.superviseExecution(ctx, x) {
+						if ce != nil {
+							fail(x.members[j], ce)
+						}
+					}
+				})
 			}
 		}()
 	}
@@ -394,80 +411,158 @@ func (r *Runner) runGroups(groups []*CellGroup) error {
 	return bestErr
 }
 
-// superviseGroup resolves one unique cell under the full supervision
-// policy: panic isolation, watchdog deadline, classification and
-// bounded retry with deterministic backoff. A nil return means the
-// cell's payload reached every destination.
-func (r *Runner) superviseGroup(g *CellGroup) *CellError {
-	maxAttempts := r.Retries + 1
-	for attempt := 1; ; attempt++ {
-		err := r.attemptGroup(g, attempt)
-		if err == nil {
-			return nil
-		}
-		cause, retryable := Classify(err)
-		if !retryable || attempt >= maxAttempts {
-			return &CellError{Key: g.Key, Attempts: attempt, Cause: cause, Err: err, Stack: panicStack(err)}
-		}
-		r.retried.Add(1)
-		r.sleepFor(backoffDelay(r.BackoffBase, r.BackoffMax, attempt))
+// superviseExecution resolves every member of one execution under the
+// full supervision policy: panic isolation, watchdog deadline,
+// classification and bounded retry with deterministic backoff, all per
+// member. Members whose attempt failed retryably retry together on the
+// next attempt; the rest leave the pending set. The result holds each
+// member's terminal failure (nil: its payload reached every
+// destination), aligned with x.members.
+func (r *Runner) superviseExecution(ctx context.Context, x *execution) []*CellError {
+	out := make([]*CellError, len(x.members))
+	pending := make([]int, len(x.members))
+	for i := range pending {
+		pending[i] = i
 	}
+	ran := false
+	for attempt := 1; len(pending) > 0; attempt++ {
+		errs, simulated := r.attemptExecution(ctx, x, pending, attempt)
+		ran = ran || simulated
+		var retry []int
+		for k, i := range pending {
+			err := errs[k]
+			if err == nil {
+				continue
+			}
+			cause, retryable := Classify(err)
+			if !retryable || attempt > r.Retries {
+				out[i] = &CellError{Key: x.members[i].Key, Attempts: attempt, Cause: cause, Err: err, Stack: panicStack(err)}
+				continue
+			}
+			r.retried.Add(1)
+			retry = append(retry, i)
+		}
+		if len(retry) > 0 {
+			r.sleepFor(backoffDelay(r.BackoffBase, r.BackoffMax, attempt))
+		}
+		pending = retry
+	}
+	if ran {
+		r.executions.Add(1)
+	}
+	return out
 }
 
-// attemptGroup makes one isolated attempt at a cell: cache lookup
-// (journal-gated under Resume), chaos injection, simulation under the
-// watchdog context, persistence, fan-out decode, journaling, progress.
-// Any panic inside the simulation surfaces as a *PanicError.
-func (r *Runner) attemptGroup(g *CellGroup, attempt int) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = newPanicError(rec)
-		}
-	}()
-	ctx := context.Background()
+// attemptExecution makes one isolated attempt at the pending members of
+// an execution: per-member cache lookup (journal-gated under Resume) and
+// chaos injection, one engine run under the watchdog context for the
+// members that still need simulating, then per-member persistence,
+// fan-out decode, journaling and progress in enumeration order. An
+// injected fault fails only its own member; an engine failure fails
+// every member that shared the engine. It returns each pending member's
+// error and whether any member committed a fresh payload.
+func (r *Runner) attemptExecution(ctx context.Context, x *execution, pending []int, attempt int) (errs []error, simulated bool) {
 	if r.CellTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.CellTimeout)
 		defer cancel()
 	}
 
-	fault := chaos.None
-	if r.Chaos != nil {
-		fault = r.Chaos.Decide(g.Key.String(), attempt)
+	errs = make([]error, len(pending))
+	faults := make([]chaos.Kind, len(pending))
+	raws := make([]json.RawMessage, len(pending))
+	cached := make([]bool, len(pending))
+	var run, hung []int // indices into pending
+	for k, i := range pending {
+		g := x.members[i]
+		if r.Chaos != nil {
+			faults[k] = r.Chaos.Decide(g.Key.String(), attempt)
+		}
+		if r.Cache != nil && (!r.Resume || (r.Journal != nil && r.Journal.Done(g.Key.Hash()))) {
+			raws[k], cached[k] = r.Cache.Get(g.Key)
+		}
+		if cached[k] {
+			continue
+		}
+		switch faults[k] {
+		case chaos.Panic:
+			errs[k] = newPanicError(chaos.PanicValue{Cell: g.Key.String(), Attempt: attempt})
+		case chaos.Transient:
+			errs[k] = &chaos.InjectedError{Cell: g.Key.String(), Attempt: attempt}
+		case chaos.Hang:
+			hung = append(hung, k)
+		default:
+			run = append(run, k)
+		}
 	}
 
-	var raw json.RawMessage
-	cached := false
-	if r.Cache != nil && (!r.Resume || (r.Journal != nil && r.Journal.Done(g.Key.Hash()))) {
-		raw, cached = r.Cache.Get(g.Key)
-	}
-	if !cached {
-		switch fault {
-		case chaos.Panic:
-			panic(chaos.PanicValue{Cell: g.Key.String(), Attempt: attempt})
-		case chaos.Hang:
-			if _, ok := ctx.Deadline(); !ok {
-				return fmt.Errorf("%s: chaos hang injected without a watchdog (set a cell timeout)", g.Key)
-			}
-			<-ctx.Done()
-			return fmt.Errorf("%s: %w", g.Key, ctx.Err())
-		case chaos.Transient:
-			return &chaos.InjectedError{Cell: g.Key.String(), Attempt: attempt}
+	if len(run) > 0 {
+		members := make([]*CellGroup, len(run))
+		for j, k := range run {
+			members[j] = x.members[pending[k]]
 		}
-		payload, err := g.sim(ctx)
-		if err != nil {
-			if cause := ctx.Err(); cause != nil {
-				// The watchdog fired mid-simulation: classify as a
-				// timeout even when the engine dressed the cancellation
-				// in workload context.
-				return fmt.Errorf("%s: %w (sim: %v)", g.Key, cause, err)
-			}
+		var payloads []any
+		var readErrs []error
+		err := guard(func() (err error) {
+			payloads, readErrs, err = x.simulate(ctx, members)
 			return err
+		})
+		for j, k := range run {
+			g := members[j]
+			switch {
+			case err != nil:
+				errs[k] = simError(ctx, g.Key, err)
+			case readErrs[j] != nil:
+				errs[k] = simError(ctx, g.Key, readErrs[j])
+			default:
+				raws[k], errs[k] = json.Marshal(payloads[j])
+				if errs[k] != nil {
+					errs[k] = fmt.Errorf("%s: encode cell payload: %w", g.Key, errs[k])
+				}
+			}
 		}
-		raw, err = json.Marshal(payload)
-		if err != nil {
-			return fmt.Errorf("%s: encode cell payload: %w", g.Key, err)
+	}
+	// A hung member blocks the attempt until the watchdog fires; its
+	// siblings' engine run has already finished by then.
+	for _, k := range hung {
+		key := x.members[pending[k]].Key
+		if _, ok := ctx.Deadline(); !ok {
+			errs[k] = fmt.Errorf("%s: chaos hang injected without a watchdog (set a cell timeout)", key)
+			continue
 		}
+		<-ctx.Done()
+		errs[k] = fmt.Errorf("%s: %w", key, ctx.Err())
+	}
+
+	for k, i := range pending {
+		if errs[k] != nil {
+			continue
+		}
+		g := x.members[i]
+		simulated = simulated || !cached[k]
+		errs[k] = guard(func() error { return r.commit(g, raws[k], cached[k], faults[k]) })
+	}
+	return errs, simulated
+}
+
+// simError attributes a simulation failure to one member. When the
+// watchdog fired mid-simulation it classifies as a timeout even if the
+// engine dressed the cancellation in workload context.
+func simError(ctx context.Context, key CellKey, err error) error {
+	if cause := ctx.Err(); cause != nil {
+		return fmt.Errorf("%s: %w (sim: %v)", key, cause, err)
+	}
+	return err
+}
+
+// commit records one member's payload: a fresh one is counted and
+// persisted (then torn, under an injected Corrupt fault), a cached one
+// counted as a hit; either way it is decoded into every destination,
+// journaled and reported to Progress.
+func (r *Runner) commit(g *CellGroup, raw json.RawMessage, cached bool, fault chaos.Kind) error {
+	if cached {
+		r.cacheHits.Add(1)
+	} else {
 		r.simulated.Add(1)
 		if r.Cache != nil {
 			if err := r.Cache.Put(g.Key, raw); err != nil {
@@ -482,13 +577,9 @@ func (r *Runner) attemptGroup(g *CellGroup, attempt int) (err error) {
 				}
 			}
 		}
-	} else {
-		r.cacheHits.Add(1)
 	}
-	for _, dest := range g.dests {
-		if err := json.Unmarshal(raw, dest); err != nil {
-			return fmt.Errorf("%s: decode cell payload: %w", g.Key, err)
-		}
+	if err := g.Deliver(raw); err != nil {
+		return err
 	}
 	if r.Journal != nil {
 		if err := r.Journal.Record(g.Key.Hash(), g.Key); err != nil {
@@ -497,8 +588,8 @@ func (r *Runner) attemptGroup(g *CellGroup, attempt int) (err error) {
 	}
 	if r.Progress != nil {
 		r.progressMu.Lock()
+		defer r.progressMu.Unlock()
 		r.Progress(g.Key, cached)
-		r.progressMu.Unlock()
 	}
 	return nil
 }

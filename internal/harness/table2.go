@@ -1,10 +1,9 @@
 package harness
 
 import (
-	"context"
 	"jrs/internal/branch"
-	"jrs/internal/core"
 	"jrs/internal/stats"
+	"jrs/internal/trace"
 )
 
 // Table2Row is one (workload, mode) branch study: misprediction rate per
@@ -38,23 +37,22 @@ func table2Plan(o Options) (*Plan, *Table2Result) {
 			res.Rows = append(res.Rows, Table2Row{})
 			key := CellKey{Experiment: "table2", Workload: w.Name, Scale: scale, Mode: mode.String(),
 				Config: "2bit+bht+gshare+gap"}
-			p.add(key, &res.Rows[len(res.Rows)-1], func(ctx context.Context) (any, error) {
+			p.addProbe(key, &res.Rows[len(res.Rows)-1], stream{w, scale, mode}, func() (trace.Sink, func() (any, error)) {
 				suite := branch.NewSuite()
-				if _, err := RunCtx(ctx, w, scale, mode, core.Config{}, suite); err != nil {
-					return nil, err
+				return suite, func() (any, error) {
+					row := Table2Row{Workload: w.Name, Mode: mode}
+					var transfers, indirect uint64
+					for i, u := range suite.Units {
+						row.Rates[i] = u.Stats.MispredictRate()
+						row.Names[i] = u.Dir.Name()
+						transfers = u.Stats.Transfers()
+						indirect = u.Stats.Indirects
+					}
+					if transfers > 0 {
+						row.IndirectFracOfTransfers = float64(indirect) / float64(transfers)
+					}
+					return row, nil
 				}
-				row := Table2Row{Workload: w.Name, Mode: mode}
-				var transfers, indirect uint64
-				for i, u := range suite.Units {
-					row.Rates[i] = u.Stats.MispredictRate()
-					row.Names[i] = u.Dir.Name()
-					transfers = u.Stats.Transfers()
-					indirect = u.Stats.Indirects
-				}
-				if transfers > 0 {
-					row.IndirectFracOfTransfers = float64(indirect) / float64(transfers)
-				}
-				return row, nil
 			})
 		}
 	}
@@ -62,13 +60,7 @@ func table2Plan(o Options) (*Plan, *Table2Result) {
 }
 
 // Table2 runs the four predictors over each workload in both modes.
-func Table2(o Options) (*Table2Result, error) {
-	p, res := table2Plan(o)
-	if err := serialRunner().RunPlans(p); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
+func Table2(o Options) (*Table2Result, error) { return runPlan(table2Plan, o) }
 
 // Render formats Table 2.
 func (r *Table2Result) Render() string {
