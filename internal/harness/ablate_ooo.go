@@ -57,33 +57,28 @@ func ablateOoOPlan(o Options) (*Plan, *AblateOoOResult) {
 		key := CellKey{Experiment: "ablate-ooo", Workload: w.Name, Scale: scale, Mode: ModeJIT.String(),
 			Config: "rob8-256.rs2-64.lsq4-128.width=4"}
 		p.addProbe(key, &res.Cells[i], stream{w, scale, ModeJIT}, func() (trace.Sink, func() (any, error)) {
-			var cores [][]*pipeline.Core
-			var checks []*pipeline.Checker
-			var sinks []trace.Sink
+			var cfgs []pipeline.Config
 			for _, ax := range oooAxes {
-				var axCores []*pipeline.Core
 				for _, v := range ax.Sizes {
 					cfg := pipeline.DefaultConfig(width)
 					ax.apply(&cfg, v)
-					c := pipeline.New(cfg)
-					if o.CheckPipe {
-						checks = append(checks, c.Check())
-					}
-					axCores = append(axCores, c)
-					sinks = append(sinks, c)
+					cfgs = append(cfgs, cfg)
 				}
-				cores = append(cores, axCores)
 			}
-			return trace.Tee(sinks...), func() (any, error) {
+			g := pipeline.NewGroup(cfgs...)
+			checks := attachCheckers(o, g)
+			return g, func() (any, error) {
 				if err := checkerErrs(checks); err != nil {
 					return nil, fmt.Errorf("%s: %w", w.Name, err)
 				}
 				cell := OoOCell{}
-				for a, ax := range oooAxes {
+				cores := g.Cores
+				for _, ax := range oooAxes {
 					row := OoOSweepRow{Workload: w.Name, Axis: ax.Name, Sizes: ax.Sizes}
-					for _, c := range cores[a] {
+					for _, c := range cores[:len(ax.Sizes)] {
 						row.IPC = append(row.IPC, c.IPC())
 					}
+					cores = cores[len(ax.Sizes):]
 					cell.Rows = append(cell.Rows, row)
 				}
 				return cell, nil
@@ -130,6 +125,18 @@ func (r *AblateOoOResult) MonotoneSweep() error {
 		}
 	}
 	return nil
+}
+
+// attachCheckers attaches an invariant checker to every core of g when
+// o.CheckPipe is set.
+func attachCheckers(o Options, g *pipeline.Group) []*pipeline.Checker {
+	var checks []*pipeline.Checker
+	if o.CheckPipe {
+		for _, c := range g.Cores {
+			checks = append(checks, c.Check())
+		}
+	}
+	return checks
 }
 
 // checkerErrs folds the violations of every attached pipeline checker

@@ -40,23 +40,18 @@ func fig9Plan(o Options) (*Plan, *Fig9Result) {
 			key := CellKey{Experiment: "fig9", Workload: w.Name, Scale: scale, Mode: mode.String(),
 				Config: "width=1,2,4,8"}
 			p.addProbe(key, &res.Rows[len(res.Rows)-1], stream{w, scale, mode}, func() (trace.Sink, func() (any, error)) {
-				var cores []*pipeline.Core
-				var checks []*pipeline.Checker
-				var sinks []trace.Sink
+				var cfgs []pipeline.Config
 				for _, width := range widths {
-					c := pipeline.New(pipeline.DefaultConfig(width))
-					if o.CheckPipe {
-						checks = append(checks, c.Check())
-					}
-					cores = append(cores, c)
-					sinks = append(sinks, c)
+					cfgs = append(cfgs, pipeline.DefaultConfig(width))
 				}
-				return trace.Tee(sinks...), func() (any, error) {
+				g := pipeline.NewGroup(cfgs...)
+				checks := attachCheckers(o, g)
+				return g, func() (any, error) {
 					if err := checkerErrs(checks); err != nil {
 						return nil, err
 					}
 					row := ILPRow{Workload: w.Name, Mode: mode, Widths: widths}
-					for _, c := range cores {
+					for _, c := range g.Cores {
 						row.IPC = append(row.IPC, c.IPC())
 						row.Cycles = append(row.Cycles, c.Cycles())
 					}

@@ -33,29 +33,23 @@ func ablateInterpILPPlan(o Options) (*Plan, *AblateInterpILPResult) {
 		key := CellKey{Experiment: "ablate-interp-ilp", Workload: w.Name, Scale: scale, Mode: ModeInterp.String(),
 			Config: "btb+targetcache-width=1,2,4,8"}
 		p.addProbe(key, &res.Rows[i], stream{w, scale, ModeInterp}, func() (trace.Sink, func() (any, error)) {
-			var btbCores, tcCores []*pipeline.Core
-			var checks []*pipeline.Checker
-			var sinks []trace.Sink
+			var btbCfgs, tcCfgs []pipeline.Config
 			for _, width := range widths {
-				b := pipeline.New(pipeline.DefaultConfig(width))
 				cfg := pipeline.DefaultConfig(width)
+				btbCfgs = append(btbCfgs, cfg)
 				cfg.TargetCache = true
-				t := pipeline.New(cfg)
-				if o.CheckPipe {
-					checks = append(checks, b.Check(), t.Check())
-				}
-				btbCores = append(btbCores, b)
-				tcCores = append(tcCores, t)
-				sinks = append(sinks, b, t)
+				tcCfgs = append(tcCfgs, cfg)
 			}
-			return trace.Tee(sinks...), func() (any, error) {
+			btb, tc := pipeline.NewGroup(btbCfgs...), pipeline.NewGroup(tcCfgs...)
+			checks := append(attachCheckers(o, btb), attachCheckers(o, tc)...)
+			return trace.Tee(btb, tc), func() (any, error) {
 				if err := checkerErrs(checks); err != nil {
 					return nil, err
 				}
 				row := InterpILPRow{Workload: w.Name, Widths: widths}
 				for i := range widths {
-					row.IPCBtb = append(row.IPCBtb, btbCores[i].IPC())
-					row.IPCTc = append(row.IPCTc, tcCores[i].IPC())
+					row.IPCBtb = append(row.IPCBtb, btb.Cores[i].IPC())
+					row.IPCTc = append(row.IPCTc, tc.Cores[i].IPC())
 				}
 				return row, nil
 			}

@@ -17,7 +17,10 @@ func clampInt(v uint64, hi int) int {
 //  2. simulation is deterministic — the same trace through two fresh
 //     cores yields identical statistics;
 //  3. resources are monotone — growing ROB, RS, LSQ or width never
-//     increases the cycle count on the same trace.
+//     increases the cycle count on the same trace;
+//  4. sharing a front end is invisible — the base configuration and
+//     its grown siblings timed as one Group report exactly what each
+//     reports as a lone core.
 func FuzzPipelineConfig(f *testing.F) {
 	f.Add(uint8(4), uint16(64), uint8(16), uint16(32), uint8(1), uint8(3), uint8(2), uint8(3), uint8(5), uint8(20), true, uint64(1))
 	f.Add(uint8(1), uint16(1), uint8(1), uint16(1), uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), false, uint64(2))
@@ -90,14 +93,32 @@ func FuzzPipelineConfig(f *testing.F) {
 				c.LSQSize *= 2
 			}},
 		}
+		cfgs := []Config{cfg}
+		alone := []*Core{base}
 		for _, g := range grow {
 			big := cfg
 			g.mod(&big)
-			_, bigCycles := run(big, true)
+			bigCore, bigCycles := run(big, true)
 			if bigCycles > baseCycles {
 				t.Fatalf("doubling %s increased cycles %d -> %d (base %+v)",
 					g.name, baseCycles, bigCycles, cfg)
 			}
+			cfgs = append(cfgs, big)
+			alone = append(alone, bigCore)
+		}
+
+		// Shared front end: one Group over the base and its siblings.
+		grp := NewGroup(cfgs...)
+		grp.EmitBatch(tr)
+		for i, c := range grp.Cores {
+			if got, want := coreStats(c), coreStats(alone[i]); got != want {
+				t.Fatalf("config %+v: group member %v, standalone %v", cfgs[i], got, want)
+			}
 		}
 	})
+}
+
+// coreStats is everything a core reports.
+func coreStats(c *Core) [6]uint64 {
+	return [6]uint64{c.Instrs, c.Cycles(), c.Mispredicts, c.SquashCycles, c.MemForwards, c.MemReplays}
 }

@@ -18,6 +18,15 @@
 // past older stores with unresolved data (MemSpeculate) and replay when
 // the disambiguation turns out wrong.
 //
+// The simulator is split in two. A front end owns the I-cache, D-cache
+// and predictor and interns stored 8-byte words into dense IDs; it
+// touches them in program order and nothing from timing flows back into
+// them, so its per-instruction outcomes (miss and mispredict flags, word
+// ID) are the same for every core configuration with the same caches
+// and predictor. The timing back end, Core, reads those outcomes. A
+// Group (NewGroup) annotates each batch once and times it on all of its
+// cores; New builds a Group of one.
+//
 // Every scheduling rule is deliberately monotone: growing ROBSize,
 // RSPerClass or LSQSize only relaxes constraints, so more resources can
 // never increase the simulated cycle count on the same trace —
@@ -28,7 +37,6 @@ package pipeline
 import (
 	"fmt"
 
-	"jrs/internal/branch"
 	"jrs/internal/cache"
 	"jrs/internal/trace"
 )
@@ -163,13 +171,60 @@ func (r *cycleRing) push(v uint64) {
 	r.count++
 }
 
-// Core is the timing model. It implements trace.Sink; feed it a
-// program's native trace and read IPC afterwards.
+// rsHeap is a binary min-heap of the issue cycles of a reservation-
+// station pool's occupants. The scheduler only reads and frees the
+// earliest-issuing occupant, so the pool is a multiset and which of
+// several equal minima leaves does not matter.
+type rsHeap []uint64
+
+// push adds v to a pool that is not full.
+func (h *rsHeap) push(v uint64) {
+	s := append(*h, v)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if s[p] <= v {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = v
+	*h = s
+}
+
+// replaceTop frees the minimum of a non-empty pool and adds v in its
+// place.
+func (h rsHeap) replaceTop(v uint64) {
+	n := len(h)
+	i := 0
+	for {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r] < h[m] {
+			m = r
+		}
+		if h[m] >= v {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = v
+}
+
+// Core is the timing back end of one configuration. It implements
+// trace.Sink and trace.BatchSink; feed it a program's native trace and
+// read IPC afterwards. A Core built by New owns its front end; the
+// Cores of a Group share the Group's and must be fed through it.
 type Core struct {
-	cfg  Config
-	ic   *cache.Cache
-	dc   *cache.Cache
-	pred predictor
+	cfg Config
+
+	// solo is the one-core Group New wraps around this core; nil for a
+	// member of a NewGroup, whose front end other cores also consume.
+	solo *Group
 
 	// regReady[r] is the CDB broadcast cycle of register r's latest
 	// producer (indexable by any register byte incl. RegNone, which is
@@ -193,21 +248,20 @@ type Core struct {
 	lsq cycleRing
 
 	// rs[class] holds the issue cycles of the stations' current
-	// occupants; a full pool stalls dispatch until the occupant with
-	// the earliest issue vacates.
-	rs [numRSClasses][]uint64
+	// occupants as a min-heap; a full pool stalls dispatch until the
+	// occupant with the earliest issue vacates.
+	rs [numRSClasses]rsHeap
 
-	// memReady records, per 8-byte word, the cycle the last store to it
-	// completes; loads from the word forward from it (and replay off it
-	// when they speculated past it). This carries the true memory
-	// dependences — loop variables the JIT keeps in frame slots, the
-	// interpreter's operand stack — without which the model overstates
-	// ILP badly. It is an open-addressing table rather than a Go map:
-	// one probe per load/store is the model's hottest lookup.
-	memReady wordCycleTable
+	// memReady[id] is the cycle the last store to the 8-byte word with
+	// front-end word ID id completes; loads from the word forward from
+	// it (and replay off it when they speculated past it). This carries
+	// the true memory dependences — loop variables the JIT keeps in
+	// frame slots, the interpreter's operand stack — without which the
+	// model overstates ILP badly. Index 0 (no older store) is unused.
+	memReady []uint64
 
 	// commit-stage bookkeeping: in-order, IssueWidth per cycle.
-	lastCommitCycle uint64
+	lastCommitCycle  uint64
 	commitsThisCycle int
 
 	// check, when non-nil, receives every instruction's lifecycle for
@@ -229,28 +283,29 @@ type Core struct {
 	MemReplays  uint64
 }
 
-// New builds a core.
+// New builds a core with its own front end: a Group of one.
 func New(cfg Config) *Core {
+	g := NewGroup(cfg)
+	c := g.Cores[0]
+	c.solo = g
+	return c
+}
+
+// newCore builds the timing back end of one configuration.
+func newCore(cfg Config) *Core {
 	if cfg.IssueWidth < 1 || cfg.ROBSize < 1 || cfg.RSPerClass < 1 || cfg.LSQSize < 1 {
 		panic(fmt.Sprintf("pipeline: invalid config (width=%d rob=%d rs=%d lsq=%d)",
 			cfg.IssueWidth, cfg.ROBSize, cfg.RSPerClass, cfg.LSQSize))
 	}
-	var pred predictor = branch.NewUnit(branch.NewGshare(2048, 5), 1024)
-	if cfg.TargetCache {
-		pred = branch.NewIndirectUnit()
-	}
 	c := &Core{
-		cfg:  cfg,
-		ic:   cache.New(cfg.ICache),
-		dc:   cache.New(cfg.DCache),
-		pred: pred,
-		rob:  newCycleRing(cfg.ROBSize),
-		lsq:  newCycleRing(cfg.LSQSize),
+		cfg:      cfg,
+		rob:      newCycleRing(cfg.ROBSize),
+		lsq:      newCycleRing(cfg.LSQSize),
+		memReady: make([]uint64, 1),
 	}
 	for i := range c.rs {
-		c.rs[i] = make([]uint64, 0, cfg.RSPerClass)
+		c.rs[i] = make(rsHeap, 0, cfg.RSPerClass)
 	}
-	c.memReady.init()
 	return c
 }
 
@@ -283,22 +338,42 @@ func maxU64(a, b uint64) uint64 {
 	return b
 }
 
-// EmitBatch implements trace.BatchSink: the front end consumes whole
-// fetch batches through one dispatch, timing each instruction in place
-// (no per-instruction 40-byte Inst copy) with a direct call into the
-// core.
-func (c *Core) EmitBatch(batch []trace.Inst) {
+// EmitBatch implements trace.BatchSink: the core's front end annotates
+// the batch once, then the back end times each instruction in place.
+// A member of a NewGroup must be fed through its Group instead.
+func (c *Core) EmitBatch(batch []trace.Inst) { c.group().EmitBatch(batch) }
+
+// Emit implements trace.Sink, timing one instruction.
+func (c *Core) Emit(in trace.Inst) { c.group().Emit(in) }
+
+func (c *Core) group() *Group {
+	if c.solo == nil {
+		panic("pipeline: a Group member's Core must be fed through its Group")
+	}
+	return c.solo
+}
+
+// time runs the back end over a batch the front end has annotated;
+// words is the number of word IDs the front end has assigned so far.
+func (c *Core) time(batch []trace.Inst, out []outcome, words uint32) {
+	if n := int(words) + 1; n > len(c.memReady) {
+		if n > cap(c.memReady) {
+			grown := make([]uint64, n, 2*n)
+			copy(grown, c.memReady)
+			c.memReady = grown
+		}
+		c.memReady = c.memReady[:n]
+	}
 	for i := range batch {
-		c.step(&batch[i])
+		c.step(&batch[i], out[i])
 	}
 }
 
-// Emit implements trace.Sink, timing one instruction.
-func (c *Core) Emit(in trace.Inst) { c.step(&in) }
-
 // step times one instruction through fetch → dispatch/rename → issue →
-// execute/CDB broadcast → in-order commit.
-func (c *Core) step(in *trace.Inst) {
+// execute/CDB broadcast → in-order commit. o carries the front end's
+// verdict on it: the I-cache, D-cache and predictor outcomes, and the
+// word ID of its memory operand.
+func (c *Core) step(in *trace.Inst, o outcome) {
 	cfg := &c.cfg
 
 	// ---- Fetch: in order, IssueWidth per cycle, I-cache stalls. ----
@@ -306,7 +381,7 @@ func (c *Core) step(in *trace.Inst) {
 		c.fetchCycle++
 		c.fetchedThisCycle = 0
 	}
-	if !c.ic.Access(in.PC, false) {
+	if o.flags&iMiss != 0 {
 		c.fetchCycle += cfg.MissPenalty
 		c.fetchedThisCycle = 0
 	}
@@ -332,21 +407,14 @@ func (c *Core) step(in *trace.Inst) {
 			dispatchAt = free
 		}
 	}
-	cl := rsClassOf(in.Class)
-	if slots := c.rs[cl]; len(slots) == cfg.RSPerClass {
+	rs := &c.rs[rsClassOf(in.Class)]
+	rsFull := len(*rs) == cfg.RSPerClass
+	if rsFull {
 		// The station vacating earliest belongs to the occupant with
 		// the earliest issue; it is reusable the cycle it issues.
-		minI := 0
-		for i, v := range slots {
-			if v < slots[minI] {
-				minI = i
-			}
+		if free := (*rs)[0]; free > dispatchAt {
+			dispatchAt = free
 		}
-		if slots[minI] > dispatchAt {
-			dispatchAt = slots[minI]
-		}
-		slots[minI] = slots[len(slots)-1]
-		c.rs[cl] = slots[:len(slots)-1]
 	}
 	// Rename bandwidth: at most IssueWidth dispatches per cycle.
 	if dispatchAt > c.dispatchCycle {
@@ -370,21 +438,23 @@ func (c *Core) step(in *trace.Inst) {
 	if in.Src2 != trace.RegNone {
 		ready = maxU64(ready, c.regReady[in.Src2])
 	}
-	word := in.Addr >> 3
 	var fwdCycle uint64
-	var fwdPending bool
-	if in.Class == trace.Load {
-		if sr, ok := c.memReady.get(word); ok {
-			fwdCycle, fwdPending = sr, true
-			if !cfg.MemSpeculate && sr > ready {
-				// Conservative disambiguation: the load may not issue
-				// until the last store to its word has its data.
-				ready = sr
-			}
+	fwdPending := in.Class == trace.Load && o.word != 0
+	if fwdPending {
+		fwdCycle = c.memReady[o.word]
+		if !cfg.MemSpeculate && fwdCycle > ready {
+			// Conservative disambiguation: the load may not issue
+			// until the last store to its word has its data.
+			ready = fwdCycle
 		}
 	}
 	issueAt := ready
-	c.rs[cl] = append(c.rs[cl], issueAt)
+	// The station freed above (if any) is now this instruction's.
+	if rsFull {
+		rs.replaceTop(issueAt)
+	} else {
+		rs.push(issueAt)
+	}
 
 	// ---- Execute; result broadcasts on the CDB at completion. ----
 	var complete uint64
@@ -394,7 +464,7 @@ func (c *Core) step(in *trace.Inst) {
 		complete = issueAt + cfg.FPLatency
 	case trace.Load:
 		lat := cfg.LoadLatency
-		if !c.dc.Access(in.Addr, false) {
+		if o.flags&dMiss != 0 {
 			lat += cfg.MissPenalty
 		}
 		complete = issueAt + lat
@@ -418,11 +488,11 @@ func (c *Core) step(in *trace.Inst) {
 		// A write-allocate store miss must fetch the line; the era's
 		// shallow write buffers expose that latency to dependants
 		// (this is what makes JIT code installation expensive, §6).
-		if !c.dc.Access(in.Addr, true) {
+		if o.flags&dMiss != 0 {
 			lat += cfg.MissPenalty
 		}
 		complete = issueAt + lat
-		c.memReady.put(word, complete)
+		c.memReady[o.word] = complete
 	default:
 		complete = issueAt + cfg.IntLatency
 	}
@@ -437,15 +507,13 @@ func (c *Core) step(in *trace.Inst) {
 	// resolves on the CDB. (The wrong-path instructions themselves are
 	// not in the committed trace; the discarded front-end cycles are
 	// accounted in SquashCycles.) ----
-	if in.Class.IsControl() {
-		if c.pred.Observe(*in) {
-			c.Mispredicts++
-			resume := complete + cfg.MispredictPenalty
-			if resume > c.fetchCycle {
-				c.SquashCycles += resume - c.fetchCycle
-				c.fetchCycle = resume
-				c.fetchedThisCycle = 0
-			}
+	if o.flags&mispredict != 0 {
+		c.Mispredicts++
+		resume := complete + cfg.MispredictPenalty
+		if resume > c.fetchCycle {
+			c.SquashCycles += resume - c.fetchCycle
+			c.fetchCycle = resume
+			c.fetchedThisCycle = 0
 		}
 	}
 
@@ -475,7 +543,7 @@ func (c *Core) step(in *trace.Inst) {
 		c.check.Record(Event{
 			Seq:      c.Instrs,
 			Class:    in.Class,
-			Word:     word,
+			Word:     in.Addr >> 3,
 			Src1:     in.Src1,
 			Src2:     in.Src2,
 			Dst:      in.Dst,

@@ -1,9 +1,10 @@
 package pipeline
 
-// wordCycleTable maps 8-byte-word addresses to the completion cycle of
-// the last store to that word. It replaces a Go map on the model's
-// hottest lookup path (one probe per simulated load, one insert per
-// store) with linear-probed open addressing: no hashing interface, no
+// wordCycleTable maps 8-byte-word addresses to a value: the completion
+// cycle of the last store to the word (Legacy), or the word's dense ID
+// (the front end). It replaces a Go map on a hot lookup path (one probe
+// per simulated load, one insert per store) with linear-probed open
+// addressing: no hashing interface, no
 // bucket indirection, and entries are never deleted so probing needs no
 // tombstones. Insertion order does not affect lookups, so results are
 // identical to the map it replaced.
