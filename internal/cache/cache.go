@@ -183,26 +183,36 @@ func (c *Cache) SetPhase(p int) {
 // Access simulates one reference and reports whether it hit. write
 // selects a store; for an instruction cache pass write=false.
 func (c *Cache) Access(addr uint64, write bool) bool {
-	lineAddr := addr >> c.lineShift
-	setIdx := lineAddr & c.setMask
-	set := c.sets[setIdx]
-	tag := lineAddr >> c.setShift
-	c.tick++
-
-	ps := c.ps
+	var writes uint64
 	if write {
-		c.Stats.Writes++
-		ps.Writes++
-	} else {
-		c.Stats.Reads++
-		ps.Reads++
+		writes = 1
 	}
+	return c.ref(addr>>c.lineShift, 1, writes, write, c.ps)
+}
+
+// ref simulates a run of n consecutive references to lineAddr, writes
+// of them stores, attributed to ps, and reports whether the first hit.
+// The first reference, a write when firstWrite, takes the full path:
+// hit or miss, compulsory classification, victim choice and writeback.
+// It leaves the line resident and most recent in its set, so the rest
+// hit: they only advance tick and the line's lru, and a write among
+// them makes the line dirty. A write miss in a write-no-allocate cache
+// leaves the line absent, so there a run must be a single reference.
+func (c *Cache) ref(lineAddr, n, writes uint64, firstWrite bool, ps *Stats) bool {
+	set := c.sets[lineAddr&c.setMask]
+	tag := lineAddr >> c.setShift
+	reads := n - writes
+	c.tick += n
+	c.Stats.Reads += reads
+	c.Stats.Writes += writes
+	ps.Reads += reads
+	ps.Writes += writes
 
 	// Hit path.
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			set[i].lru = c.tick
-			if write {
+			if writes > 0 {
 				set[i].dirty = true
 			}
 			return true
@@ -210,7 +220,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	}
 
 	// Miss.
-	if write {
+	if firstWrite {
 		c.Stats.WriteMisses++
 		ps.WriteMisses++
 	} else {
@@ -221,7 +231,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 		c.Stats.Compulsory++
 		ps.Compulsory++
 	}
-	if write && !c.cfg.WriteAllocate {
+	if firstWrite && !c.cfg.WriteAllocate {
 		// Write-no-allocate: the store goes around the cache.
 		return false
 	}
@@ -242,7 +252,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 		ps.Writebacks++
 	}
 fill:
-	set[victim] = line{tag: tag, valid: true, dirty: write, lru: c.tick}
+	set[victim] = line{tag: tag, valid: true, dirty: writes > 0, lru: c.tick}
 	return false
 }
 

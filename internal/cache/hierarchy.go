@@ -8,6 +8,9 @@ import "jrs/internal/trace"
 // and every Load/Store probes the D-cache at the effective address, with
 // the instruction's Phase attributed to the per-phase counters so the
 // translate portion of JIT execution can be isolated (Figure 5).
+//
+// Fed on its own, a hierarchy is a Bank of one. A nil I makes it a
+// data-only member of a Bank.
 type Hierarchy struct {
 	I *Cache
 	D *Cache
@@ -18,6 +21,8 @@ type Hierarchy struct {
 	// CodeLow/CodeHigh bound the code-cache segment used by
 	// DirectInstall filtering.
 	CodeLow, CodeHigh uint64
+
+	solo *Bank // built on the first reference
 }
 
 // NewHierarchy builds a split hierarchy with the two configurations.
@@ -35,46 +40,14 @@ func PaperDefault() *Hierarchy {
 }
 
 // Emit implements trace.Sink.
-func (h *Hierarchy) Emit(in trace.Inst) {
-	h.I.SetPhase(int(in.Phase))
-	h.D.SetPhase(int(in.Phase))
-	h.step(&in)
-}
+func (h *Hierarchy) Emit(in trace.Inst) { h.EmitBatch([]trace.Inst{in}) }
 
-// step is one instruction's probes, phase attribution already set.
-func (h *Hierarchy) step(in *trace.Inst) {
-	h.I.Access(in.PC, false)
-	switch in.Class {
-	case trace.Load:
-		h.D.Access(in.Addr, false)
-	case trace.Store:
-		if h.DirectInstall && in.Addr >= h.CodeLow && in.Addr < h.CodeHigh {
-			h.I.InstallLine(in.Addr)
-			return
-		}
-		h.D.Access(in.Addr, true)
-	}
-}
-
-// EmitBatch implements trace.BatchSink. The per-instruction SetPhase
-// pair is hoisted to phase-change boundaries within the batch: runs of
-// same-phase instructions (the overwhelmingly common case — phase only
-// changes at interpreter/translator/loader transitions) pay for phase
-// attribution once instead of twice per instruction. Setting the same
-// phase repeatedly is idempotent, so results are byte-identical to the
-// per-instruction path.
+// EmitBatch implements trace.BatchSink.
 func (h *Hierarchy) EmitBatch(batch []trace.Inst) {
-	const noPhase = trace.Phase(0xFF)
-	cur := noPhase
-	for i := range batch {
-		in := &batch[i]
-		if in.Phase != cur {
-			cur = in.Phase
-			h.I.SetPhase(int(cur))
-			h.D.SetPhase(int(cur))
-		}
-		h.step(in)
+	if h.solo == nil {
+		h.solo = NewBank(h)
 	}
+	h.solo.EmitBatch(batch)
 }
 
 // Interval is one sampling window of miss counts (Figure 6's time

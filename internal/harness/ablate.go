@@ -53,7 +53,7 @@ func ablateInstallPlan(o Options) (*Plan, *AblateInstallResult) {
 			direct.CodeLow = mem.CodeCacheBase
 			direct.CodeHigh = mem.ClassBase
 
-			return trace.Tee(wa, wna, direct), func() (any, error) {
+			return cache.NewBank(wa, wna, direct), func() (any, error) {
 				return AblateInstallRow{
 					Workload:        w.Name,
 					DMissesWA:       wa.D.Stats.Misses(),

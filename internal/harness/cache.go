@@ -118,17 +118,14 @@ func fig3Plan(o Options) (*Plan, *Fig3Result) {
 			key := CellKey{Experiment: "fig3", Workload: w.Name, Scale: scale, Mode: mode.String(),
 				Config: "dm-32B-8K..128K"}
 			p.addProbe(key, &res.Rows[len(res.Rows)-1], stream{w, scale, mode}, func() (trace.Sink, func() (any, error)) {
+				// Figure 3 reads only the D side, so the members are
+				// data-only.
 				var hs []*cache.Hierarchy
-				var sinks []trace.Sink
 				for _, sz := range sizes {
-					h := cache.NewHierarchy(
-						cache.Config{Name: "I", Size: sz, LineSize: 32, Assoc: 1, WriteAllocate: true},
-						cache.Config{Name: "D", Size: sz, LineSize: 32, Assoc: 1, WriteAllocate: true},
-					)
-					hs = append(hs, h)
-					sinks = append(sinks, h)
+					hs = append(hs, &cache.Hierarchy{D: cache.New(
+						cache.Config{Name: "D", Size: sz, LineSize: 32, Assoc: 1, WriteAllocate: true})})
 				}
-				return trace.Tee(sinks...), func() (any, error) {
+				return cache.NewBank(hs...), func() (any, error) {
 					row := Fig3Row{Workload: w.Name, Mode: mode, Sizes: sizes}
 					for _, h := range hs {
 						row.WriteMissFracs = append(row.WriteMissFracs, h.D.Stats.WriteMissFrac())
@@ -499,14 +496,10 @@ func sweepPlan(o Options, experiment, cfg string, rows *[]SweepRow, params []int
 				Config: cfg}
 			p.addProbe(key, &(*rows)[idx], stream{w, scale, mode}, func() (trace.Sink, func() (any, error)) {
 				var hs []*cache.Hierarchy
-				var sinks []trace.Sink
 				for _, prm := range params {
-					ic, dc := mk(prm)
-					h := cache.NewHierarchy(ic, dc)
-					hs = append(hs, h)
-					sinks = append(sinks, h)
+					hs = append(hs, cache.NewHierarchy(mk(prm)))
 				}
-				return trace.Tee(sinks...), func() (any, error) {
+				return cache.NewBank(hs...), func() (any, error) {
 					row := SweepRow{Workload: w.Name, Mode: mode, Params: params}
 					for _, h := range hs {
 						row.IMiss = append(row.IMiss, h.I.Stats.MissRate())

@@ -6,6 +6,7 @@ import (
 	"runtime/pprof"
 	"strings"
 
+	"jrs/internal/cache"
 	"jrs/internal/core"
 	"jrs/internal/trace"
 	"jrs/internal/workloads"
@@ -26,8 +27,9 @@ type stream struct {
 func (s stream) id() string { return fmt.Sprintf("%s@%d/%s", s.w.Name, s.scale, s.mode) }
 
 // probe builds one cell's sinks for a stream run. It returns the sink to
-// attach (a trace.Tee for several) and the read step that turns the
-// sink's final state into the cell payload once the engine finished.
+// attach (a cache.Bank over several cache hierarchies, a trace.Tee over
+// several other sinks) and the read step that turns the sink's final
+// state into the cell payload once the engine finished.
 type probe func() (trace.Sink, func() (any, error))
 
 // addProbe appends a cell that observes one default-config run of s.
@@ -46,13 +48,28 @@ func (p *Plan) addProbe(key CellKey, dest any, s stream, pr probe) {
 }
 
 // runStream runs s once with every probe's sinks attached and reads
-// each probe. err is an engine failure shared by all probes; errs holds
-// each probe's own read failure (a read panic included).
+// each probe. Every probe's cache hierarchies join one cache.Bank, which
+// decodes each batch once per line size for all of them. err is an
+// engine failure shared by all probes; errs holds each probe's own read
+// failure (a read panic included).
 func runStream(ctx context.Context, s stream, probes []probe) (payloads []any, errs []error, err error) {
-	sinks := make([]trace.Sink, len(probes))
+	var sinks []trace.Sink
+	var hs []*cache.Hierarchy
 	reads := make([]func() (any, error), len(probes))
 	for i, pr := range probes {
-		sinks[i], reads[i] = pr()
+		var sink trace.Sink
+		sink, reads[i] = pr()
+		switch m := sink.(type) {
+		case *cache.Hierarchy:
+			hs = append(hs, m)
+		case *cache.Bank:
+			hs = append(hs, m.Members()...)
+		default:
+			sinks = append(sinks, sink)
+		}
+	}
+	if len(hs) > 0 {
+		sinks = append(sinks, cache.NewBank(hs...))
 	}
 	if _, err := RunCtx(ctx, s.w, s.scale, s.mode, core.Config{}, sinks...); err != nil {
 		return nil, nil, err
